@@ -46,21 +46,6 @@ let deadline =
 let max_n = min 63 (max 1 (env_int "BENCH_MAX_N" 63))
 let jobs = max 1 (env_int "BENCH_JOBS" (Domain.recommended_domain_count ()))
 
-(* BENCH_REORDER=off|auto|sift selects the dynamic variable reordering
-   mode every manager is created with (including the per-domain reused
-   ones).  Same fallback discipline as the numeric knobs: unreadable
-   values mean the default, and the JSON header echoes what was
-   resolved. *)
-let reorder =
-  match Sys.getenv_opt "BENCH_REORDER" with
-  | Some v -> (
-      match Bdd.reorder_mode_of_string_opt v with
-      | Some mode -> mode
-      | None -> Bdd.Off)
-  | None -> Bdd.Off
-
-let () = Bdd.set_default_reorder reorder
-
 let time f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
@@ -114,7 +99,6 @@ let write_table_json path table rows_json =
          ("deadline_s", Obs.Json.Float deadline);
          ("max_n", Obs.Json.Int max_n);
          ("jobs", Obs.Json.Int jobs);
-         ("reorder", Obs.Json.Str (Bdd.reorder_mode_to_string reorder));
          ("bdd_domain_created", Obs.Json.Int created);
          ("bdd_domain_reused", Obs.Json.Int reused);
          ("rows", Obs.Json.List rows_json);
@@ -334,21 +318,6 @@ let bdd_ite_storm () =
   done;
   ignore (Bdd.exists m [ 0; 2; 4; 6; 8; 10 ] !f)
 
-(* The sifting machinery end to end: build the classic pairing function
-   OR_i (x_i AND x_(8+i)) under the interleaving-hostile order
-   x0..x15 (exponential at 2^8 nodes), then sift it down to the linear
-   form.  Reordering is forced off during the build so the row measures
-   one deliberate sift, not the auto trigger. *)
-let bdd_reorder_sift () =
-  let m = Bdd.manager () in
-  Bdd.set_reorder m Bdd.Off;
-  let h = 8 in
-  let f = ref (Bdd.zero m) in
-  for i = 0 to h - 1 do
-    f := Bdd.or_ m !f (Bdd.and_ m (Bdd.var m i) (Bdd.var m (h + i)))
-  done;
-  Bdd.sift m
-
 (* Run one Bechamel group and return its (name, ns/run) estimates.  The
    micro rows are grouped kernel/* | bdd/* | hash/* so that the compare
    gate can hold each subsystem to the regression threshold separately. *)
@@ -395,9 +364,6 @@ let micro () =
   let subst_sv, subst_body =
     Term.dest_abs (snd (Term.dest_abs subst_e.Hash.Embed.fd))
   in
-  (* an independently rebuilt embedding of the same circuit: aconv must
-     recognise the two dag-shaped terms as equal *)
-  let aconv_e = Hash.Embed.embed Hash.Embed.Rt_level subst_c in
   (* a ground boolean chain with distinct nodes at every level (a balanced
      tree would collapse under hash-consing); normalising it repeatedly
      exercises the persistent rewrite memo's hit path *)
@@ -445,10 +411,6 @@ let micro () =
           (Staged.stage (fun () ->
                ignore (Term.vsubst [ (subst_sv, subst_e.Hash.Embed.q) ]
                          subst_body)));
-        Test.make ~name:"aconv-large"
-          (Staged.stage (fun () ->
-               ignore
-                 (Term.aconv subst_e.Hash.Embed.fd aconv_e.Hash.Embed.fd)));
         Test.make ~name:"rewrite-memo"
           (Staged.stage (fun () ->
                ignore (Boolean.bool_eval_conv ground_chain)));
@@ -462,7 +424,6 @@ let micro () =
           (Staged.stage (fun () ->
                let m = Bdd.manager () in
                ignore (Engines.Symbolic.product m pg pr)));
-        Test.make ~name:"reorder-sift" (Staged.stage bdd_reorder_sift);
       ]
   in
   (* the van Eijk classing front-end: packed-signature simulation of the

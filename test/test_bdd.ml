@@ -290,41 +290,8 @@ let test_size () =
   Alcotest.(check int) "var size" 1 (Bdd.size m (Bdd.var m 0))
 
 (* ------------------------------------------------------------------ *)
-(* Dynamic reordering and freeze/share                                  *)
+(* Freeze/share                                                         *)
 (* ------------------------------------------------------------------ *)
-
-(* Node ids denote functions, so any amount of adjacent-level swapping
-   and sifting must leave every previously returned id evaluating
-   exactly as before — and the manager canonical (rebuilding the
-   expression finds the same node). *)
-let prop_reorder_semantics =
-  QCheck.Test.make ~count:60
-    ~name:"swap/sift preserve semantics and canonicity"
-    (QCheck.make QCheck.Gen.(pair (gen_expr nvars) (int_bound 1000)))
-    (fun (e, seed) ->
-      let m = Bdd.manager () in
-      Bdd.set_reorder m Bdd.Off;
-      let b = build m e in
-      let st = Random.State.make [| seed; 0x51f7 |] in
-      let nv = Bdd.n_vars m in
-      if nv >= 2 then
-        for _ = 1 to 30 do
-          Bdd.swap_adjacent m (Random.State.int st (nv - 1))
-        done;
-      Bdd.sift m;
-      let b2 = build m e in
-      Bdd.equal b b2 && all_envs (fun env -> Bdd.eval m b env = eval env e))
-
-(* The same property through the automatic trigger: a manager in [Sift]
-   mode reorders whenever it pleases mid-operation, and the caller must
-   not be able to tell (except through the counters). *)
-let prop_auto_sift_semantics =
-  QCheck.Test.make ~count:40 ~name:"auto sift mode is semantically invisible"
-    (QCheck.make (gen_expr nvars)) (fun e ->
-      let m = Bdd.manager () in
-      Bdd.set_reorder m Bdd.Sift;
-      let b = build m e in
-      all_envs (fun env -> Bdd.eval m b env = eval env e))
 
 (* Freeze/share: ids minted before the freeze keep their meaning in
    every sharing manager, growth of a sharing manager never disturbs the
@@ -335,10 +302,7 @@ let prop_freeze_share =
     (QCheck.make QCheck.Gen.(pair (gen_expr nvars) (gen_expr nvars)))
     (fun (e1, e2) ->
       let m = Bdd.manager () in
-      Bdd.set_reorder m Bdd.Off;
       let b1 = build m e1 in
-      Bdd.sift m;
-      (* the snapshot carries the sifted order *)
       let m2 = Bdd.share (Bdd.freeze m) in
       let ok_shared = all_envs (fun env -> Bdd.eval m2 b1 env = eval env e1) in
       let b2 = build m2 e2 in
@@ -346,6 +310,68 @@ let prop_freeze_share =
       let ok_orig = all_envs (fun env -> Bdd.eval m b1 env = eval env e1) in
       let ok_canon = Bdd.equal (build m2 e1) b1 in
       ok_shared && ok_grown && ok_orig && ok_canon)
+
+(* A sharing manager grown well past its first unique-table rebuild (and
+   the cache grow that rides along with it): the rebuild re-keys the
+   frozen prefix into a larger private table, which must leave those ids
+   meaning what they meant and still findable by [mk]. *)
+let storm_vars = 20
+
+let storm m =
+  let x = Bdd.var m in
+  let acc = ref (Bdd.zero m) in
+  for i = 0 to storm_vars - 1 do
+    acc := Bdd.xor_ m !acc (Bdd.and_ m (x i) (x ((i + 7) mod storm_vars)))
+  done;
+  let f = ref !acc in
+  for i = 0 to storm_vars - 1 do
+    f := Bdd.or_ m (Bdd.and_ m !f (x i)) (Bdd.xor_ m !f (x i))
+  done;
+  (!acc, !f)
+
+let storm_eval env =
+  let acc = ref false in
+  for i = 0 to storm_vars - 1 do
+    acc := !acc <> (env i && env ((i + 7) mod storm_vars))
+  done;
+  let f = ref !acc in
+  for i = 0 to storm_vars - 1 do
+    f := (!f && env i) || !f <> env i
+  done;
+  (!acc, !f)
+
+let prop_share_growth =
+  QCheck.Test.make ~count:20
+    ~name:"share survives unique rebuild and cache grow"
+    (QCheck.make QCheck.Gen.(pair (gen_expr nvars) (int_bound 1000)))
+    (fun (e, seed) ->
+      let m = Bdd.manager () in
+      let b = build m e in
+      let n0 = Bdd.node_count m in
+      let m2 = Bdd.share (Bdd.freeze m) in
+      let acc, f = storm m2 in
+      (* the 4096-slot table a small snapshot shares rebuilds at 0.7 x
+         4096 nodes and again at 0.7 x 8192 *)
+      let grown = Bdd.node_count m2 > 2 * 4096 in
+      let ok_prefix = all_envs (fun env -> Bdd.eval m2 b env = eval env e) in
+      let ok_canon = Bdd.equal (build m2 e) b in
+      let st = Random.State.make [| seed |] in
+      let envs =
+        List.init 64 (fun _ ->
+            let bits = Array.init storm_vars (fun _ -> Random.State.bool st) in
+            fun i -> bits.(i))
+      in
+      let ok_storm =
+        List.for_all
+          (fun env -> storm_eval env = (Bdd.eval m2 acc env, Bdd.eval m2 f env))
+          envs
+      in
+      let ok_orig =
+        all_envs (fun env -> Bdd.eval m b env = eval env e)
+        && Bdd.equal (build m e) b
+        && Bdd.node_count m = n0
+      in
+      grown && ok_prefix && ok_canon && ok_storm && ok_orig)
 
 let suite =
   [
@@ -356,9 +382,8 @@ let suite =
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5e11a |]) prop_compose;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5e11a |]) prop_exists_multi;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5e11a |]) prop_compose_multi;
-    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5e11a |]) prop_reorder_semantics;
-    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5e11a |]) prop_auto_sift_semantics;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5e11a |]) prop_freeze_share;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5e11a |]) prop_share_growth;
     Alcotest.test_case "truth-table exhaustive (3 vars)" `Quick
       test_truth_table_exhaustive;
     Alcotest.test_case "ite normalization & computed table" `Quick
