@@ -62,11 +62,7 @@ let build_terms (e : Embed.t) f_gate_list =
               (Printf.sprintf "v%d" s)
               (Embed.signal_ty level (Circuit.width_of c s)))
     c.Circuit.drivers;
-  let x_components =
-    List.map (fun s -> fwire.(s)) boundary
-    @ List.map (fun r -> Pairs.proj sf_var r n_reg) passthrough
-  in
-  if x_components = [] then
+  if boundary = [] && passthrough = [] then
     Errors.cut_mismatch "empty retimed state: nothing to retime";
   let topo = Circuit.topo_order c in
   (* f gate terms: a dag over projections of sf *)
@@ -95,8 +91,6 @@ let build_terms (e : Embed.t) f_gate_list =
     List.map (fun s -> fwire.(s)) boundary
     @ List.map (fun r -> Pairs.proj sf_var r n_reg) passthrough
   in
-  if x_components = [] then
-    Errors.cut_mismatch "empty retimed state: nothing to retime";
   let f_result = Pairs.list_mk_pair x_components in
   let f_term = Term.mk_abs sf_var f_result in
   let x_ty = Term.type_of f_result in
@@ -106,29 +100,29 @@ let build_terms (e : Embed.t) f_gate_list =
   let n_x = List.length x_components in
   let gwire = Array.make (Circuit.n_signals c) xg_var in
   let n_in = Circuit.n_inputs c in
-  let bnd_index = List.mapi (fun k s -> (s, k)) boundary in
-  let pas_index =
-    List.mapi (fun k r -> (r, List.length boundary + k)) passthrough
-  in
+  (* position of each boundary gate (by signal) and passthrough register
+     (by index) in the x tuple, first occurrence for a repeated cut
+     member; -1 = not a component *)
+  let bnd_pos = Array.make (Circuit.n_signals c) (-1) in
+  List.iteri (fun k s -> if bnd_pos.(s) < 0 then bnd_pos.(s) <- k) boundary;
+  let pas_pos = Array.make n_reg (-1) in
+  let n_bnd = List.length boundary in
+  List.iteri (fun k r -> pas_pos.(r) <- n_bnd + k) passthrough;
   Array.iteri
     (fun s d ->
       match d with
       | Circuit.Input k -> gwire.(s) <- Pairs.proj ig_var k n_in
-      | Circuit.Reg_out r -> (
-          match List.assoc_opt r pas_index with
-          | Some k -> gwire.(s) <- Pairs.proj xg_var k n_x
-          | None -> () (* only f may read it; g never will *))
-      | Circuit.Gate _ -> (
-          match List.assoc_opt s bnd_index with
-          | Some k -> gwire.(s) <- Pairs.proj xg_var k n_x
-          | None -> ()))
+      | Circuit.Reg_out r ->
+          (* a register outside x is read only by f; g never will *)
+          if pas_pos.(r) >= 0 then gwire.(s) <- Pairs.proj xg_var pas_pos.(r) n_x
+      | Circuit.Gate _ ->
+          if bnd_pos.(s) >= 0 then gwire.(s) <- Pairs.proj xg_var bnd_pos.(s) n_x)
     c.Circuit.drivers;
   (* non-f gates as dag terms over the g-context references *)
   List.iter
     (fun s ->
       match c.Circuit.drivers.(s) with
-      | Circuit.Gate (op, args)
-        when (not in_f.(s)) && not (List.mem_assoc s bnd_index) ->
+      | Circuit.Gate (op, args) when not in_f.(s) ->
           gwire.(s) <-
             Embed.gate_term level op (List.map (fun a -> gwire.(a)) args)
       | _ -> ())

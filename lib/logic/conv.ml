@@ -104,54 +104,74 @@ let memo_top_depth_conv c =
      One table per domain (keyed per partial application): cached
      theorems mention terms, and terms must not cross domains, so a
      worker always starts from an empty table.  All application sites
-     are module-level bindings, so the number of DLS keys is bounded. *)
-  let memo_key = Domain.DLS.new_key (fun () : thm Memo.t -> Memo.create ~bits:12 ()) in
+     are module-level bindings, so the number of DLS keys is bounded.
+
+     Internally "unchanged" carries no theorem ([None]): a subterm that
+     is already in normal form costs a memo probe and no kernel rule.
+     [refl] is built only for the unchanged side of a changed [Comb]. *)
+  let memo_key =
+    Domain.DLS.new_key (fun () : thm option Memo.t -> Memo.create ~bits:12 ())
+  in
   fun tm0 ->
     let memo = Domain.DLS.get memo_key in
     Memo.new_call memo;
     let rec norm tm =
       match Memo.find memo tm.Term.id with
-      | Some th -> th
+      | Some r -> r
       | None ->
           poll ();
-          let th = step tm in
-          Memo.add memo tm.Term.id th;
-          th
+          let r = step tm in
+          Memo.add memo tm.Term.id r;
+          r
     and step tm =
       (* Reduce at the top as long as possible, then normalise children and
-         retry the top (child normalisation can expose new redexes). *)
+         retry the top only if a child changed (child normalisation can
+         expose new redexes). *)
       let th1 = repeat_top tm in
-      let tm1 = Drule.rhs th1 in
-      let th2 =
-        match tm1.Term.node with
-        | Term.Comb (f, x) ->
-            let thf = norm f and thx = norm x in
-            Kernel.trans th1 (Kernel.mk_comb_rule thf thx)
-        | Term.Abs (v, body) ->
-            let thb = norm body in
-            Kernel.trans th1 (Kernel.abs v thb)
-        | _ -> th1
-      in
-      let tm2 = Drule.rhs th2 in
-      if tm2 == tm1 || Term.aconv tm2 tm1 then th2
-      else
-        let th3 = try_top tm2 in
-        Kernel.trans th2 th3
+      match sub (match th1 with None -> tm | Some th -> Drule.rhs th) with
+      | None -> th1
+      | Some th2 -> (
+          let th12 =
+            match th1 with None -> th2 | Some th1 -> Kernel.trans th1 th2
+          in
+          match try_top (Drule.rhs th2) with
+          | None -> Some th12
+          | Some th3 -> Some (Kernel.trans th12 th3))
+    and sub tm =
+      match tm.Term.node with
+      | Term.Comb (f, x) -> (
+          match (norm f, norm x) with
+          | None, None -> None
+          | thf, thx ->
+              let side t = function Some th -> th | None -> Kernel.refl t in
+              Some (Kernel.mk_comb_rule (side f thf) (side x thx)))
+      | Term.Abs (v, body) -> Option.map (Kernel.abs v) (norm body)
+      | _ -> None
     and repeat_top tm =
       match (try Some (c tm) with Failure _ -> None) with
-      | None -> Kernel.refl tm
+      | None -> None
       | Some th ->
           let tm' = Drule.rhs th in
-          if Term.aconv tm' tm then Kernel.refl tm
-          else Kernel.trans th (repeat_top tm')
+          if Term.aconv tm' tm then None
+          else
+            match repeat_top tm' with
+            | None -> Some th
+            | Some th' -> Some (Kernel.trans th th')
     and try_top tm =
       match (try Some (c tm) with Failure _ -> None) with
-      | None -> Kernel.refl tm
-      | Some th ->
-          let th' = norm (Drule.rhs th) in
-          Kernel.trans th th'
+      | None -> None
+      | Some th -> (
+          match norm (Drule.rhs th) with
+          | None -> Some th
+          | Some th' -> Some (Kernel.trans th th'))
     in
-    norm tm0
+    (* A recording trace must hold the answer.  When the whole answer is
+       one theorem of [c]'s rule set returned as is (an un-instantiated
+       clause), link it through [refl]. *)
+    match norm tm0 with
+    | None -> Kernel.refl tm0
+    | Some th when Kernel.outside_trace th -> Kernel.trans (Kernel.refl tm0) th
+    | Some th -> th
 
 let memo_stats = Memo.stats
 let global_memo_stats = Memo.global_stats

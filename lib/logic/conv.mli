@@ -70,7 +70,12 @@ val memo_top_depth_conv : conv -> conv
     lazily invalidates all entries (see {!Memo}).  Each domain gets its
     own table (cached theorems mention terms, which never cross domains).
     The base conversion must be context-independent (true for all rewrite
-    sets used here). *)
+    sets used here).
+
+    Subterms already in normal form cost no kernel rule: the memo
+    records them as unchanged, without a theorem.  A term that is normal
+    as a whole normalises with one [refl].  While the domain records a
+    proof, the answer is always a step of that recording. *)
 
 val with_poll : (unit -> unit) -> (unit -> 'a) -> 'a
 (** [with_poll hook f] runs [f ()] with [hook] installed as the

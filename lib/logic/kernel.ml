@@ -9,17 +9,13 @@ let concl th = th.concl
 let hyp th = th.hyps
 let dest_thm th = (th.hyps, th.concl)
 
-let pp_thm ppf th =
+let string_of_thm th =
+  let concl = "|- " ^ Term.to_string th.concl in
   match th.hyps with
-  | [] -> Format.fprintf ppf "|- %a" Term.pp th.concl
-  | hs ->
-      Format.fprintf ppf "%a |- %a"
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-           Term.pp)
-        hs Term.pp th.concl
+  | [] -> concl
+  | hs -> String.concat ", " (List.map Term.to_string hs) ^ " " ^ concl
 
-let string_of_thm th = Format.asprintf "%a" pp_thm th
+let pp_thm ppf th = Format.pp_print_string ppf (string_of_thm th)
 
 (* ------------------------------------------------------------------ *)
 (* Hypothesis sets: lists sorted by alpha-order, without duplicates.   *)
@@ -451,6 +447,11 @@ let stop_recording () =
               tms = Array.sub rs.r_tm 0 rs.r_n;
               pay = Array.sub rs.r_pay 0 rs.r_n;
             })
+
+let outside_trace th =
+  match (Domain.DLS.get r_key).recb with
+  | None -> false
+  | Some rs -> not (th.ep = rs.r_epoch && th.ix >= 0)
 
 let step_in (tr : Trace.t) th =
   if th.ep = tr.Trace.t_epoch && th.ix >= 0 then Some th.ix else None

@@ -177,6 +177,13 @@ val stop_recording : unit -> (Trace.t, string) result
     was poisoned by an unresolvable input.
     @raise Failure if not recording. *)
 
+val outside_trace : thm -> bool
+(** [true] when this domain is recording and [th] is not a step of that
+    recording: a theorem of the ambient theory, or one proved before the
+    recording began.  Such a theorem enters the trace only as an input
+    (by name, when the theory has it), so [Cert.emit] cannot end a
+    certificate on it. *)
+
 val step_in : Trace.t -> thm -> int option
 (** The index of the event that proved [th] within [tr], if [th] was
     recorded in that trace. *)

@@ -643,30 +643,45 @@ let global_stats () =
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let pp_budget_key = Domain.DLS.new_key (fun () -> ref 20_000)
+(* A direct [Buffer] walk: theorem text of a large circuit runs to tens
+   of kilobytes, and [Format]'s per-token queue costs ten times the
+   walk.  At most 20 000 nodes are printed per term; past the budget
+   every remaining subterm prints as "...". *)
+let to_string tm =
+  let buf = Buffer.create 256 in
+  let budget = ref 20_000 in
+  let rec go tm =
+    decr budget;
+    if !budget < 0 then Buffer.add_string buf "..."
+    else
+      match tm.node with
+      | Var (n, _) | Const (n, _) -> Buffer.add_string buf n
+      | Comb ({ node = Comb ({ node = Const ("=", _); _ }, l); _ }, r) ->
+          infix l " = " r
+      | Comb ({ node = Comb ({ node = Const ("/\\", _); _ }, l); _ }, r) ->
+          infix l " /\\ " r
+      | Comb ({ node = Comb ({ node = Const ("==>", _); _ }, l); _ }, r) ->
+          infix l " ==> " r
+      | Comb ({ node = Const ("!", _); _ }, { node = Abs (v, b); _ }) ->
+          binder "(!" v b
+      | Comb ({ node = Comb ({ node = Const (",", _); _ }, l); _ }, r) ->
+          infix l ", " r
+      | Comb (f, x) -> infix f " " x
+      | Abs (v, b) -> binder "(\\" v b
+  and infix l sep r =
+    Buffer.add_char buf '(';
+    go l;
+    Buffer.add_string buf sep;
+    go r;
+    Buffer.add_char buf ')'
+  and binder q v b =
+    Buffer.add_string buf q;
+    go v;
+    Buffer.add_string buf ". ";
+    go b;
+    Buffer.add_char buf ')'
+  in
+  go tm;
+  Buffer.contents buf
 
-let rec pp_go budget ppf tm =
-  decr budget;
-  if !budget < 0 then Format.pp_print_string ppf "..."
-  else
-    match tm.node with
-    | Var (n, _) | Const (n, _) -> Format.pp_print_string ppf n
-    | Comb ({ node = Comb ({ node = Const ("=", _); _ }, l); _ }, r) ->
-        Format.fprintf ppf "(%a = %a)" (pp_go budget) l (pp_go budget) r
-    | Comb ({ node = Comb ({ node = Const ("/\\", _); _ }, l); _ }, r) ->
-        Format.fprintf ppf "(%a /\\ %a)" (pp_go budget) l (pp_go budget) r
-    | Comb ({ node = Comb ({ node = Const ("==>", _); _ }, l); _ }, r) ->
-        Format.fprintf ppf "(%a ==> %a)" (pp_go budget) l (pp_go budget) r
-    | Comb ({ node = Const ("!", _); _ }, { node = Abs (v, b); _ }) ->
-        Format.fprintf ppf "(!%a. %a)" (pp_go budget) v (pp_go budget) b
-    | Comb ({ node = Comb ({ node = Const (",", _); _ }, l); _ }, r) ->
-        Format.fprintf ppf "(%a, %a)" (pp_go budget) l (pp_go budget) r
-    | Comb (f, x) -> Format.fprintf ppf "(%a %a)" (pp_go budget) f (pp_go budget) x
-    | Abs (v, b) -> Format.fprintf ppf "(\\%a. %a)" (pp_go budget) v (pp_go budget) b
-
-let pp ppf tm =
-  let budget = Domain.DLS.get pp_budget_key in
-  budget := 20_000;
-  pp_go budget ppf tm
-
-let to_string tm = Format.asprintf "%a" pp tm
+let pp ppf tm = Format.pp_print_string ppf (to_string tm)

@@ -280,9 +280,8 @@ let of_string text =
             s)
   in
   List.iter (fun (args, out, _) -> ignore args; ignore (resolve out)) names;
-  List.iteri
-    (fun r (data, _, _) ->
-      connect_reg b (List.nth reg_sigs r) ~data:(resolve data))
-    latches;
+  List.iter2
+    (fun (data, _, _) s -> connect_reg b s ~data:(resolve data))
+    latches reg_sigs;
   List.iter (fun n -> Circuit.output b n (resolve n)) outputs;
   finish b

@@ -60,6 +60,7 @@ type builder = {
   mutable bdrivers : driver list;  (* reversed *)
   bwidth_tbl : (signal, width) Hashtbl.t;
   bregs : (int, signal option ref * value * width) Hashtbl.t;
+  breg_of_sig : (signal, int) Hashtbl.t;  (* register output -> index *)
   mutable n_bregs : int;
   mutable bouts : (string * signal) list;  (* reversed *)
   mutable count : int;
@@ -68,7 +69,7 @@ type builder = {
 let create name =
   { bname = name; binputs = []; n_binputs = 0; bdrivers = [];
     bwidth_tbl = Hashtbl.create 64; bregs = Hashtbl.create 16;
-    n_bregs = 0; bouts = []; count = 0 }
+    breg_of_sig = Hashtbl.create 16; n_bregs = 0; bouts = []; count = 0 }
 
 (* Word values live in native OCaml ints (63 bits), so wider words cannot
    be simulated faithfully; reject them at construction. *)
@@ -100,15 +101,16 @@ let reg b ~init w =
   let ridx = b.n_bregs in
   Hashtbl.replace b.bregs ridx (ref None, init, w);
   b.n_bregs <- ridx + 1;
-  push b (Reg_out ridx) w
+  let s = push b (Reg_out ridx) w in
+  Hashtbl.replace b.breg_of_sig s ridx;
+  s
 
 let reg_index_of b r =
-  match Hashtbl.find_opt b.bwidth_tbl r with
+  match Hashtbl.find_opt b.breg_of_sig r with
+  | Some ridx -> ridx
+  | None when Hashtbl.mem b.bwidth_tbl r ->
+      invalid_netlist "Circuit.connect_reg: not a register output"
   | None -> invalid_netlist "Circuit.connect_reg: unknown signal"
-  | Some _ -> (
-      match List.nth b.bdrivers (b.count - 1 - r) with
-      | Reg_out ridx -> ridx
-      | _ -> invalid_netlist "Circuit.connect_reg: not a register output")
 
 let connect_reg b r ~data =
   let ridx = reg_index_of b r in

@@ -235,6 +235,30 @@ let prop_init_eval_agrees =
           | _ -> true
           | exception Hash.Errors.Join_mismatch _ -> false))
 
+(* Kernel cost of a cold retiming: every bit-level Table II shape takes
+   between 5 and 12 primitive rules per gate.  Recording drops every
+   conversion memo first, so the count is that of a fresh process.  The
+   floor matches perfbench's memo guard (a run below it is timing memo
+   hits, not synthesis); the ceiling holds the gain of leaving
+   unchanged subterms without a theorem. *)
+let test_rules_per_gate () =
+  List.iter
+    (fun (entry : Iwls.entry) ->
+      let c = Lazy.force entry.Iwls.circuit in
+      let cut = Cut.maximal c in
+      Kernel.start_recording ();
+      let r0 = Kernel.rule_count () in
+      Fun.protect
+        ~finally:(fun () -> ignore (Kernel.stop_recording ()))
+        (fun () -> ignore (Hash.Synthesis.retime Hash.Embed.Bit_level c cut));
+      let rules = Kernel.rule_count () - r0 in
+      let per_gate = float rules /. float (Circuit.gate_count c) in
+      check
+        (Printf.sprintf "%s: %.2f rules/gate in [5, 12]" entry.Iwls.name per_gate)
+        true
+        (per_gate >= 5.0 && per_gate <= 12.0))
+    Iwls.suite
+
 let suite =
   [
     Alcotest.test_case "embed shapes" `Quick test_embed_shapes;
@@ -242,6 +266,7 @@ let suite =
     Alcotest.test_case "embed needs registers" `Quick test_embed_requires_io;
     Alcotest.test_case "retime RT level" `Quick test_retime_rt;
     Alcotest.test_case "retime bit level" `Quick test_retime_bit;
+    Alcotest.test_case "Table II rules per gate" `Quick test_rules_per_gate;
     Alcotest.test_case "new initial value is f(q)" `Quick
       test_retimed_init_value;
     Alcotest.test_case "paper's false cut fails" `Quick test_faulty_cut_paper;

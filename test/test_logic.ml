@@ -297,6 +297,69 @@ let test_conv_combinators () =
     (Failure "Conv.changed_conv: no change") (fun () ->
       ignore (Conv.changed_conv Conv.all_conv tm))
 
+(* Normalising a term that is already in normal form (a circuit
+   embedding) proves [refl] and nothing else: "unchanged" costs no
+   kernel rule below the top. *)
+let test_memo_conv_normal_term () =
+  let e = Hash.Embed.embed Hash.Embed.Bit_level (Iwls.mult 4) in
+  let fd = e.Hash.Embed.fd in
+  let r0 = Kernel.rule_count () in
+  let th = Hash.Embed.circuit_norm_conv fd in
+  Alcotest.(check int) "one rule" 1 (Kernel.rule_count () - r0);
+  check "refl" true (Drule.lhs th == fd && Drule.rhs th == fd)
+
+(* Random small terms over a terminating rule set: Boolean clauses with
+   free variables, pair projections, LET and redexes under a binder.  The memoised normaliser
+   must reach the right-hand side of the plain [top_depth_conv]. *)
+let conv_rules =
+  Conv.orelsec
+    (Conv.rewrs_conv
+       (Boolean.and_clauses @ Boolean.or_clauses @ Boolean.not_clauses
+      @ Boolean.xor_clauses @ Boolean.cond_clauses))
+    Pairs.let_proj_conv
+
+let memo_conv_rules = Conv.memo_top_depth_conv conv_rules
+
+let gen_conv_term =
+  let vars = List.map (fun n -> Term.mk_var n Ty.bool) [ "x"; "y"; "z" ] in
+  QCheck.Gen.(
+    sized_size (int_bound 12) @@ fix (fun self n ->
+        let leaf =
+          oneof
+            [ map Boolean.bool_const bool; map (List.nth vars) (int_bound 2) ]
+        in
+        if n = 0 then leaf
+        else
+          let sub = self (n / 2) in
+          frequency
+            [
+              (1, leaf);
+              (2, map2 Boolean.mk_conj sub sub);
+              (2, map2 Boolean.mk_disj sub sub);
+              (1, map2 Boolean.mk_xor sub sub);
+              (1, map Boolean.mk_neg (self (n - 1)));
+              (1, map3 Boolean.mk_cond sub sub sub);
+              (1, map2 (fun a b -> Pairs.mk_fst (Pairs.mk_pair a b)) sub sub);
+              (1, map2 (fun a b -> Pairs.mk_snd (Pairs.mk_pair a b)) sub sub);
+              ( 1,
+                map3
+                  (fun i e b -> Pairs.mk_let (List.nth vars i) e b)
+                  (int_bound 2) sub sub );
+              ( 1,
+                map2
+                  (fun i b -> Boolean.mk_forall (List.nth vars i) b)
+                  (int_bound 2) sub );
+            ]))
+
+let prop_memo_conv_agrees =
+  QCheck.Test.make ~count:300
+    ~name:"memo_top_depth_conv agrees with top_depth_conv"
+    (QCheck.make ~print:Term.to_string gen_conv_term) (fun tm ->
+      let th = memo_conv_rules tm in
+      let th' = Conv.top_depth_conv conv_rules tm in
+      Kernel.hyp th = [] && Drule.lhs th == tm
+      && Drule.rhs th == Drule.rhs th')
+
 let suite =
   [
     Alcotest.test_case "ty basics" `Quick test_ty_basics;
@@ -325,6 +388,10 @@ let suite =
     Alcotest.test_case "balanced tuples" `Quick test_balanced_tuples;
     Alcotest.test_case "let conv" `Quick test_let_conv;
     Alcotest.test_case "conv combinators" `Quick test_conv_combinators;
+    Alcotest.test_case "memo conv: normal term is one rule" `Quick
+      test_memo_conv_normal_term;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5e11a |])
+      prop_memo_conv_agrees;
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -340,6 +407,82 @@ let test_printer_budget () =
   let big = grow (Term.mk_var "x" Ty.bool) 60 in
   let s = Term.to_string big in
   check "truncated output is finite" true (String.length s < 1_000_000)
+
+(* The [Format]-based printer that [Term.to_string] replaced, kept as the
+   reference its output must match byte for byte (parenthesisation, the
+   20 000-node budget per term and the "..." elision). *)
+let rec ref_pp budget ppf (tm : Term.t) =
+  decr budget;
+  if !budget < 0 then Format.pp_print_string ppf "..."
+  else
+    let go = ref_pp budget in
+    match tm.Term.node with
+    | Term.Var (n, _) | Term.Const (n, _) -> Format.pp_print_string ppf n
+    | Term.Comb
+        ({ node = Term.Comb ({ node = Term.Const ("=", _); _ }, l); _ }, r) ->
+        Format.fprintf ppf "(%a = %a)" go l go r
+    | Term.Comb
+        ({ node = Term.Comb ({ node = Term.Const ("/\\", _); _ }, l); _ }, r)
+      ->
+        Format.fprintf ppf "(%a /\\ %a)" go l go r
+    | Term.Comb
+        ({ node = Term.Comb ({ node = Term.Const ("==>", _); _ }, l); _ }, r)
+      ->
+        Format.fprintf ppf "(%a ==> %a)" go l go r
+    | Term.Comb
+        ({ node = Term.Const ("!", _); _ }, { node = Term.Abs (v, b); _ }) ->
+        Format.fprintf ppf "(!%a. %a)" go v go b
+    | Term.Comb
+        ({ node = Term.Comb ({ node = Term.Const (",", _); _ }, l); _ }, r) ->
+        Format.fprintf ppf "(%a, %a)" go l go r
+    | Term.Comb (f, x) -> Format.fprintf ppf "(%a %a)" go f go x
+    | Term.Abs (v, b) -> Format.fprintf ppf "(\\%a. %a)" go v go b
+
+let ref_to_string tm = Format.asprintf "%a" (ref_pp (ref 20_000)) tm
+
+let ref_string_of_thm th =
+  let pp = ref_pp (ref 20_000) in
+  match Kernel.hyp th with
+  | [] -> Format.asprintf "|- %a" pp (Kernel.concl th)
+  | hs ->
+      Format.asprintf "%a |- %a"
+        (Format.pp_print_list
+           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
+           (fun ppf h -> ref_pp (ref 20_000) ppf h))
+        hs pp (Kernel.concl th)
+
+let test_printer_reference () =
+  let x = Term.mk_var "x" Ty.bool and y = Term.mk_var "y" Ty.bool in
+  let terms =
+    [
+      Boolean.mk_forall x (Boolean.mk_imp x (Boolean.mk_conj x y));
+      Term.mk_abs x (Pairs.mk_pair x (Boolean.mk_neg y));
+      Term.mk_eq x (Boolean.mk_cond x y (Boolean.mk_xor x y));
+      (let rec grow t n = if n = 0 then t else grow (Boolean.mk_conj t t) (n - 1) in
+       grow x 40);
+    ]
+  in
+  List.iter
+    (fun tm ->
+      Alcotest.(check string) "term" (ref_to_string tm) (Term.to_string tm))
+    terms;
+  let th = Kernel.assume (Boolean.mk_conj x y) in
+  let th = Kernel.deduct_antisym_rule th (Kernel.assume (Boolean.mk_neg x)) in
+  Alcotest.(check string) "hyps" (ref_string_of_thm th) (Kernel.string_of_thm th);
+  (* a theorem past the node budget *)
+  let e = Hash.Embed.embed Hash.Embed.Bit_level (Iwls.mult 16) in
+  let cut = Cut.maximal e.Hash.Embed.circuit in
+  let st = Hash.Synthesis.retime Hash.Embed.Bit_level e.Hash.Embed.circuit cut in
+  let th = st.Hash.Synthesis.theorem in
+  let s = Kernel.string_of_thm th in
+  let has_sub sub s =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  check "elided" true (has_sub "..." s);
+  Alcotest.(check string) "theorem" (ref_string_of_thm th) s;
+  Alcotest.(check string) "pp" s (Format.asprintf "%a" Kernel.pp_thm th)
 
 let test_prove_hyp () =
   let p = Term.mk_var "p" Ty.bool in
@@ -384,6 +527,8 @@ let test_new_axiom_requires_bool () =
 
 let suite = suite @ [
     Alcotest.test_case "printer budget" `Quick test_printer_budget;
+    Alcotest.test_case "printer matches Format reference" `Quick
+      test_printer_reference;
     Alcotest.test_case "prove_hyp" `Quick test_prove_hyp;
     Alcotest.test_case "gen_all/spec_all" `Quick test_gen_spec_all;
     Alcotest.test_case "rule counter" `Quick test_rule_count_monotone;
