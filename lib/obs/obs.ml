@@ -642,13 +642,6 @@ module Cache = struct
       entries = Atomic.make 0;
     }
 
-  let reset t =
-    Atomic.set t.hits 0;
-    Atomic.set t.misses 0;
-    Atomic.set t.evictions 0;
-    Atomic.set t.insertions 0;
-    Atomic.set t.entries 0
-
   type snapshot = {
     hits : int;
     misses : int;

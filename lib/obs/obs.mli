@@ -156,7 +156,6 @@ module Cache : sig
   }
 
   val create : unit -> t
-  val reset : t -> unit
 
   (** A plain one-pass copy of the counters; what responses and [stats]
       report. *)

@@ -17,7 +17,8 @@
    [maximal]-cut requests are cached at either level: the maximal cut
    is canonical (a function of the circuit alone), whereas an explicit
    gate list refers to signal indices of one particular representation
-   and is deliberately recomputed every time.
+   and is deliberately recomputed every time.  A certificate request
+   is recomputed too: only a proof it ran can be certified.
 
    Both levels are split into N shards keyed by a hash of the digest,
    each shard with its own mutex, so concurrent connections don't
@@ -116,7 +117,6 @@ type error_code =
   | Unsupported
   | Interface_mismatch
   | Deadline_exceeded
-  | Cert_unavailable
   | Shutdown
   | Internal
 
@@ -130,7 +130,6 @@ let code_string = function
   | Unsupported -> "unsupported"
   | Interface_mismatch -> "interface_mismatch"
   | Deadline_exceeded -> "deadline_exceeded"
-  | Cert_unavailable -> "cert_unavailable"
   | Shutdown -> "shutdown"
   | Internal -> "internal"
 
@@ -166,10 +165,9 @@ type request = {
          multi-KB proof echo per circuit *)
   cert : bool;
       (* [true] records the kernel derivation and attaches a replayable
-         proof certificate to the ok response.  Only a proof run by this
-         request can be certified: a cache hit answers with the typed
-         [Cert_unavailable] error instead of fabricating a certificate
-         the server never recorded. *)
+         proof certificate to the ok response.  Such a request bypasses
+         both cache levels, like an explicit gate list: a certificate
+         exists only for a proof this request ran. *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -242,34 +240,11 @@ let locked sh f =
   Mutex.lock sh.sh_mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock sh.sh_mu) f
 
-(* One lock-free pass over the per-shard atomics. *)
-(* One pass over the shards, no intermediate snapshots: this runs once
-   per response. *)
-let counters_total t =
-  let hits = ref 0
-  and misses = ref 0
-  and evictions = ref 0
-  and insertions = ref 0
-  and entries = ref 0 in
-  Array.iter
-    (fun sh ->
-      let c = sh.sh_counters in
-      hits := !hits + Atomic.get c.Obs.Cache.hits;
-      misses := !misses + Atomic.get c.Obs.Cache.misses;
-      evictions := !evictions + Atomic.get c.Obs.Cache.evictions;
-      insertions := !insertions + Atomic.get c.Obs.Cache.insertions;
-      entries := !entries + Atomic.get c.Obs.Cache.entries)
-    t.shards;
-  {
-    Obs.Cache.hits = !hits;
-    misses = !misses;
-    evictions = !evictions;
-    insertions = !insertions;
-    entries = !entries;
-  }
-
 let stats t =
-  match Obs.Cache.snapshot_json (counters_total t) with
+  match
+    Obs.Cache.snapshot_json
+      (Obs.Cache.total (Array.map (fun sh -> sh.sh_counters) t.shards))
+  with
   | Obs.Json.Obj fields ->
       Obs.Json.Obj (("shards", Obs.Json.Int (Array.length t.shards)) :: fields)
   | j -> j
@@ -456,16 +431,17 @@ let ok_response t ~id ~echo ~hit ~cacheable ~digest ?cert ~(e : entry) ~wall_s
       ok_cacheable = cacheable;
       ok_digest = digest;
       ok_cert = cert;
-      ok_snap = counters_total t;
+      ok_snap =
+        Obs.Cache.total (Array.map (fun sh -> sh.sh_counters) t.shards);
       ok_wall = wall_s;
     }
 
-(* Feed the pieces of a response, in emission order, to [f] — shared by
-   the string renderer and the channel writer so the two spellings
-   cannot drift.  Everything is emitted from scalars: the warm path
-   builds no intermediate JSON tree, and the only response-sized string
-   it touches ([e_fields]) is the one shared by the cache entry. *)
-let response_pieces r (f : string -> unit) =
+(* Append a response to [buf].  Everything is emitted from scalars: the
+   warm path builds no intermediate JSON tree, and the only
+   response-sized string it touches ([e_fields]) is the one shared by
+   the cache entry. *)
+let add_response buf r =
+  let f = Buffer.add_string buf in
   match r with
   | Rendered s -> f s
   | Ok_body
@@ -521,17 +497,6 @@ let response_pieces r (f : string -> unit) =
       f "},\"wall_s\":";
       f (wall_string ok_wall);
       f "}"
-
-let render_response = function
-  | Rendered s -> s
-  | Ok_body { ok_e; ok_echo; _ } as r ->
-      let cap =
-        if ok_echo then String.length ok_e.e_fields + 256 else 320
-      in
-      let buf = Buffer.create cap in
-      response_pieces r (Buffer.add_string buf);
-      Buffer.contents buf
-
 
 (* ------------------------------------------------------------------ *)
 (* The request pipeline                                                 *)
@@ -652,106 +617,88 @@ type pending =
    rejection) is answered without touching the pool; only kernel work is
    dispatched. *)
 let submit_request t ~t0 ~t0m (req : request) =
-  (
-      (* Deadlines are monotonic arithmetic: [t0m] came from
-         {!Logic.Clock.now}, so a wall-clock step (NTP, manual reset)
-         cannot expire — or resurrect — an in-flight request.  [t0]
-         stays wall-clock and is only ever reported, never compared. *)
-      let deadline = t0m +. req.deadline_s in
-      match
-        match req.cut with
-        | Gates _ ->
-            (* Explicit gate lists name signal indices of this
-               particular representation — never served from (or
-               stored into) the caches. *)
+  (* Deadlines are monotonic arithmetic: [t0m] came from
+     {!Logic.Clock.now}, so a wall-clock step (NTP, manual reset) cannot
+     expire — or resurrect — an in-flight request.  [t0] stays
+     wall-clock and is only ever reported, never compared. *)
+  let deadline = t0m +. req.deadline_s in
+  let hit digest e =
+    `Hit
+      (ok_response t ~id:req.id ~echo:req.echo ~hit:true ~cacheable:true
+         ~digest:(Some digest) ~e
+         ~wall_s:(Unix.gettimeofday () -. t0)
+         ())
+  in
+  match
+    match (req.cut, req.cert) with
+    | Gates _, _ | Maximal, true ->
+        (* Explicit gate lists name signal indices of this particular
+           representation, and a certificate exists only for a proof
+           this request runs: neither is served from (or stored into)
+           the caches. *)
+        let circuit = Blif.of_string req.blif in
+        Circuit.validate circuit;
+        `Run (fun () -> run_and_respond t req circuit None ~deadline ~t0)
+    | Maximal, false -> (
+        let level_tag =
+          match req.level with
+          | Hash.Embed.Bit_level -> "bit"
+          | Hash.Embed.Rt_level -> "rt"
+        in
+        (* L1: byte-identical repeat?  Answered before the BLIF is even
+           parsed. *)
+        let tkey = level_tag ^ "\x00" ^ req.blif in
+        let tsh = shard_for t tkey in
+        let text_hit =
+          locked tsh (fun () ->
+              match Lru.find tsh.sh_text tkey with
+              | Some (digest, e) ->
+                  bump tsh.sh_counters.Obs.Cache.hits;
+                  Some (digest, e)
+              | None -> None)
+        in
+        match text_hit with
+        | Some (digest, e) -> hit digest e
+        | None -> (
             let circuit = Blif.of_string req.blif in
-            Circuit.validate circuit;
-            `Run
-              (fun () -> run_and_respond t req circuit None ~deadline ~t0)
-        | Maximal -> (
-            let level_tag =
-              match req.level with
-              | Hash.Embed.Bit_level -> "bit"
-              | Hash.Embed.Rt_level -> "rt"
+            let fp = Fingerprint.of_circuit circuit in
+            let key = Fingerprint.digest fp ^ "/" ^ level_tag in
+            let fsh = shard_for t key in
+            let cached =
+              locked fsh (fun () ->
+                  match Lru.find fsh.sh_cache key with
+                  | Some e when String.equal e.e_canon (Fingerprint.canon fp)
+                    ->
+                      bump fsh.sh_counters.Obs.Cache.hits;
+                      Some e
+                  | Some _ | None ->
+                      bump fsh.sh_counters.Obs.Cache.misses;
+                      None)
             in
-            (* L1: byte-identical repeat?  Answered before the BLIF
-               is even parsed. *)
-            let tkey = level_tag ^ "\x00" ^ req.blif in
-            let tsh = shard_for t tkey in
-            let text_hit =
-              locked tsh (fun () ->
-                  match Lru.find tsh.sh_text tkey with
-                  | Some (digest, e) ->
-                      bump tsh.sh_counters.Obs.Cache.hits;
-                      Some (digest, e)
-                  | None -> None)
-            in
-            match text_hit with
-            | Some (digest, e) ->
-                `Hit
-                  (if req.cert then
-                     error_response ?id:req.id Cert_unavailable
-                       "result served from cache; no proof was replayed \
-                        for this request, so no certificate exists"
-                   else
-                     ok_response t ~id:req.id ~echo:req.echo ~hit:true
-                       ~cacheable:true ~digest:(Some digest) ~e
-                       ~wall_s:(Unix.gettimeofday () -. t0)
-                       ())
-            | None -> (
-                let circuit = Blif.of_string req.blif in
-                let fp = Fingerprint.of_circuit circuit in
-                let key = Fingerprint.digest fp ^ "/" ^ level_tag in
-                let fsh = shard_for t key in
-                let cached =
-                  locked fsh (fun () ->
-                      match Lru.find fsh.sh_cache key with
-                      | Some e
-                        when String.equal e.e_canon (Fingerprint.canon fp)
-                        ->
-                          bump fsh.sh_counters.Obs.Cache.hits;
-                          Some e
-                      | Some _ | None ->
-                          bump fsh.sh_counters.Obs.Cache.misses;
-                          None)
-                in
-                match cached with
-                | Some e ->
-                    (* remember the spelling for next time (after
-                       releasing the fingerprint shard — L1 lives in
-                       its own shard and locks never nest) *)
-                    remember_text t tkey (Fingerprint.digest fp) e;
-                    `Hit
-                      (if req.cert then
-                         error_response ?id:req.id Cert_unavailable
-                           "result served from cache; no proof was \
-                            replayed for this request, so no \
-                            certificate exists"
-                       else
-                         ok_response t ~id:req.id ~echo:req.echo ~hit:true
-                           ~cacheable:true
-                           ~digest:(Some (Fingerprint.digest fp))
-                           ~e
-                           ~wall_s:(Unix.gettimeofday () -. t0)
-                           ())
-                | None ->
-                    `Run
-                      (fun () ->
-                        run_and_respond t req circuit
-                          (Some (key, fp, tkey))
-                          ~deadline ~t0)))
-      with
-      | `Hit resp -> Immediate resp
-      | `Run thunk -> (
-          match Parallel.Pool.submit ~deadline t.pool thunk with
-          | fut -> Queued (req.id, fut)
-          | exception Parallel.Pool.Shutdown ->
-              Immediate
-                (error_response ?id:req.id Shutdown
-                   "server is shutting down"))
-      | exception e ->
-          let code, msg = error_of_exn e in
-          Immediate (error_response ?id:req.id code msg))
+            match cached with
+            | Some e ->
+                (* remember the spelling for next time (after releasing
+                   the fingerprint shard — L1 lives in its own shard and
+                   locks never nest) *)
+                remember_text t tkey (Fingerprint.digest fp) e;
+                hit (Fingerprint.digest fp) e
+            | None ->
+                `Run
+                  (fun () ->
+                    run_and_respond t req circuit
+                      (Some (key, fp, tkey))
+                      ~deadline ~t0)))
+  with
+  | `Hit resp -> Immediate resp
+  | `Run thunk -> (
+      match Parallel.Pool.submit ~deadline t.pool thunk with
+      | fut -> Queued (req.id, fut)
+      | exception Parallel.Pool.Shutdown ->
+          Immediate
+            (error_response ?id:req.id Shutdown "server is shutting down"))
+  | exception e ->
+      let code, msg = error_of_exn e in
+      Immediate (error_response ?id:req.id code msg)
 
 let submit_json t ~t0 ~t0m json =
   match parse_request t json with
@@ -767,369 +714,9 @@ let submit_json t ~t0 ~t0m json =
    failing on its own. *)
 let max_batch = 4096
 
-(* ------------------------------------------------------------------ *)
-(* Fast-path request scanner                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* A zero-tree scanner for the dominant request shape: a flat object of
-   ["id"] (int), ["blif"] (string), ["level"] ("bit"/"rt") and ["echo"]
-   (bool) members — or a ["batch"] of such objects.  It builds the
-   [request] records directly, skipping the JSON tree that
-   [Obs.Json.parse] allocates per request (the largest single cost left
-   on a warm cache hit).  On anything unusual — other members, other
-   value shapes, [\u] escapes, duplicate members, syntax it is unsure
-   about — it raises [Slow] and the line takes the general parse path.
-   The scanner accepts a strict subset of the lines the parser accepts
-   and builds identical [request] records for them (both feed the same
-   [submit_request]), so it can never change an answer — only skip
-   allocation. *)
-
-exception Slow
-
-(* What the scanner produces per request: the L1 text key is built
-   directly (level tag, NUL, decoded BLIF) so a warm hit never
-   materializes the BLIF as its own string; a miss slices it back out
-   of the key. *)
-type scanned_req = {
-  sq_tkey : string;
-  sq_taglen : int;
-  sq_id : Obs.Json.t option;
-  sq_level : Hash.Embed.level;
-  sq_echo : bool;
-}
-
-type scanned_line =
-  | Scanned_one of scanned_req
-  | Scanned_batch of scanned_req list
-
-let scan_line t line : scanned_line option =
-  let n = String.length line in
-  let pos = ref 0 in
-  let bail () = raise_notrace Slow in
-  let skip_ws () =
-    while
-      !pos < n
-      &&
-      match String.unsafe_get line !pos with
-      | ' ' | '\t' | '\n' | '\r' -> true
-      | _ -> false
-    do
-      incr pos
-    done
-  in
-  let expect c =
-    if !pos < n && String.unsafe_get line !pos = c then incr pos else bail ()
-  in
-  (* member name: plain lowercase letters, no escapes; compared in
-     place, no allocation *)
-  let scan_name () =
-    expect '"';
-    let start = !pos in
-    while
-      !pos < n
-      &&
-      match String.unsafe_get line !pos with
-      | 'a' .. 'z' | '_' -> true
-      | _ -> false
-    do
-      incr pos
-    done;
-    if !pos < n && String.unsafe_get line !pos = '"' then begin
-      let len = !pos - start in
-      incr pos;
-      (start, len)
-    end
-    else bail ()
-  in
-  let name_eq (start, len) w =
-    String.length w = len
-    &&
-    let rec go i =
-      i = len
-      || String.unsafe_get line (start + i) = String.unsafe_get w i
-         && go (i + 1)
-    in
-    go 0
-  in
-  (* string value: same acceptance as the parser minus [\u] escapes
-     (those bail).  No-escape strings are one [String.sub]; escaped ones
-     decode into an exactly-sized scratch, no growth copies. *)
-  let scan_string () =
-    expect '"';
-    let start = !pos in
-    let i = ref start and esc = ref false in
-    let rec seek () =
-      if !i >= n then bail ()
-      else
-        match String.unsafe_get line !i with
-        | '"' -> ()
-        | '\\' ->
-            esc := true;
-            i := !i + 2;
-            seek ()
-        | _ ->
-            incr i;
-            seek ()
-    in
-    seek ();
-    let stop = !i in
-    pos := stop + 1;
-    if not !esc then String.sub line start (stop - start)
-    else begin
-      let out = Bytes.create (stop - start) in
-      let o = ref 0 and j = ref start in
-      while !j < stop do
-        let c = String.unsafe_get line !j in
-        if c = '\\' then begin
-          (* [seek] jumped escapes in pairs, so the escape char of any
-             backslash in [start, stop) is itself inside the span *)
-          let d =
-            match String.unsafe_get line (!j + 1) with
-            | '"' -> '"'
-            | '\\' -> '\\'
-            | '/' -> '/'
-            | 'b' -> '\b'
-            | 'f' -> '\012'
-            | 'n' -> '\n'
-            | 'r' -> '\r'
-            | 't' -> '\t'
-            | _ -> bail ()
-          in
-          Bytes.unsafe_set out !o d;
-          incr o;
-          j := !j + 2
-        end
-        else begin
-          Bytes.unsafe_set out !o c;
-          incr o;
-          incr j
-        end
-      done;
-      Bytes.sub_string out 0 !o
-    end
-  in
-  (* like [scan_string], but only locates the span: [(start, stop,
-     nesc)] with [pos] past the closing quote.  Every accepted escape
-     decodes 2 bytes to 1, so the decoded length is [stop - start -
-     nesc]. *)
-  let scan_raw_string () =
-    expect '"';
-    let start = !pos in
-    let i = ref start and nesc = ref 0 in
-    let rec seek () =
-      if !i >= n then bail ()
-      else
-        match String.unsafe_get line !i with
-        | '"' -> ()
-        | '\\' ->
-            incr nesc;
-            i := !i + 2;
-            seek ()
-        | _ ->
-            incr i;
-            seek ()
-    in
-    seek ();
-    let stop = !i in
-    pos := stop + 1;
-    (start, stop, !nesc)
-  in
-  (* the L1 key, decoded straight into place: tag, NUL, BLIF bytes *)
-  let build_key tag (start, stop, nesc) =
-    let tl = String.length tag in
-    let out = Bytes.create (tl + 1 + (stop - start - nesc)) in
-    Bytes.blit_string tag 0 out 0 tl;
-    Bytes.unsafe_set out tl '\x00';
-    if nesc = 0 then Bytes.blit_string line start out (tl + 1) (stop - start)
-    else begin
-      let o = ref (tl + 1) and j = ref start in
-      while !j < stop do
-        let c = String.unsafe_get line !j in
-        if c = '\\' then begin
-          (* [seek] jumped escapes in pairs, so the escape char of any
-             backslash in [start, stop) is itself inside the span *)
-          let d =
-            match String.unsafe_get line (!j + 1) with
-            | '"' -> '"'
-            | '\\' -> '\\'
-            | '/' -> '/'
-            | 'b' -> '\b'
-            | 'f' -> '\012'
-            | 'n' -> '\n'
-            | 'r' -> '\r'
-            | 't' -> '\t'
-            | _ -> bail ()
-          in
-          Bytes.unsafe_set out !o d;
-          incr o;
-          j := !j + 2
-        end
-        else begin
-          Bytes.unsafe_set out !o c;
-          incr o;
-          incr j
-        end
-      done
-    end;
-    Bytes.unsafe_to_string out
-  in
-  let scan_int () =
-    let start = !pos in
-    if !pos < n && String.unsafe_get line !pos = '-' then incr pos;
-    let d0 = !pos in
-    while
-      !pos < n
-      && match String.unsafe_get line !pos with '0' .. '9' -> true | _ -> false
-    do
-      incr pos
-    done;
-    if !pos = d0 then bail ();
-    (* a fraction or exponent would make the parser produce a float *)
-    if
-      !pos < n
-      && match String.unsafe_get line !pos with '.' | 'e' | 'E' -> true | _ -> false
-    then bail ();
-    match int_of_string (String.sub line start (!pos - start)) with
-    | v -> v
-    | exception Failure _ -> bail ()
-  in
-  let scan_bool () =
-    if !pos + 4 <= n && String.sub line !pos 4 = "true" then begin
-      pos := !pos + 4;
-      true
-    end
-    else if !pos + 5 <= n && String.sub line !pos 5 = "false" then begin
-      pos := !pos + 5;
-      false
-    end
-    else bail ()
-  in
-  (* [parse_request] would clamp the default the same way; a
-     non-positive default errors there, so bail. *)
-  let default_dl =
-    if t.default_deadline_s > 0.0 then Stdlib.min t.default_deadline_s 3600.0
-    else -1.0
-  in
-  (* the flat members of one request object; '{' and leading ws already
-     consumed, positioned at the first member's opening quote *)
-  let scan_obj_rest () =
-    if default_dl <= 0.0 then bail ();
-    let id = ref None and blif = ref None in
-    let level = ref None and echo = ref None in
-    let rec members () =
-      let nm = scan_name () in
-      skip_ws ();
-      expect ':';
-      skip_ws ();
-      (if name_eq nm "blif" then begin
-         if !blif <> None then bail ();
-         blif := Some (scan_raw_string ())
-       end
-       else if name_eq nm "id" then begin
-         if !id <> None then bail ();
-         id := Some (Obs.Json.Int (scan_int ()))
-       end
-       else if name_eq nm "echo" then begin
-         if !echo <> None then bail ();
-         echo := Some (scan_bool ())
-       end
-       else if name_eq nm "level" then begin
-         if !level <> None then bail ();
-         level :=
-           Some
-             (match scan_string () with
-             | "bit" -> Hash.Embed.Bit_level
-             | "rt" -> Hash.Embed.Rt_level
-             | _ -> bail ())
-       end
-       else bail ());
-      skip_ws ();
-      if !pos >= n then bail ()
-      else
-        match String.unsafe_get line !pos with
-        | ',' ->
-            incr pos;
-            skip_ws ();
-            members ()
-        | '}' -> incr pos
-        | _ -> bail ()
-    in
-    members ();
-    match !blif with
-    | None -> bail () (* "missing field: blif" is the slow path's line *)
-    | Some span ->
-        let level =
-          match !level with Some l -> l | None -> Hash.Embed.Bit_level
-        in
-        let tag =
-          match level with
-          | Hash.Embed.Bit_level -> "bit"
-          | Hash.Embed.Rt_level -> "rt"
-        in
-        {
-          sq_tkey = build_key tag span;
-          sq_taglen = String.length tag;
-          sq_id = !id;
-          sq_level = level;
-          sq_echo = (match !echo with Some b -> b | None -> true);
-        }
-  in
-  let scan_obj () =
-    expect '{';
-    skip_ws ();
-    if !pos < n && String.unsafe_get line !pos = '}' then bail ()
-    else scan_obj_rest ()
-  in
-  let top () =
-    skip_ws ();
-    expect '{';
-    skip_ws ();
-    if !pos < n && String.unsafe_get line !pos = '}' then bail ();
-    let save = !pos in
-    let nm = scan_name () in
-    if name_eq nm "batch" then begin
-      skip_ws ();
-      expect ':';
-      skip_ws ();
-      expect '[';
-      skip_ws ();
-      let items = ref [] and count = ref 0 in
-      (if !pos < n && String.unsafe_get line !pos = ']' then incr pos
-       else
-         let rec elems () =
-           skip_ws ();
-           let r = scan_obj () in
-           items := r :: !items;
-           incr count;
-           if !count > max_batch then bail ();
-           skip_ws ();
-           if !pos >= n then bail ()
-           else
-             match String.unsafe_get line !pos with
-             | ',' ->
-                 incr pos;
-                 elems ()
-             | ']' -> incr pos
-             | _ -> bail ()
-         in
-         elems ());
-      skip_ws ();
-      expect '}';
-      skip_ws ();
-      if !pos <> n then bail ();
-      Scanned_batch (List.rev !items)
-    end
-    else begin
-      pos := save;
-      let req = scan_obj_rest () in
-      skip_ws ();
-      if !pos <> n then bail ();
-      Scanned_one req
-    end
-  in
-  match top () with v -> Some v | exception Slow -> None
-
-let submit_line_slow t ~t0 ~t0m line =
+let submit_line t line =
+  let t0 = Unix.gettimeofday () in
+  let t0m = Logic.Clock.now () in
   match Obs.Json.parse line with
   | exception Obs.Json.Parse_error msg ->
       Immediate (error_response Bad_request msg)
@@ -1161,55 +748,6 @@ let submit_line_slow t ~t0 ~t0m line =
                ?id:(Obs.Json.member "id" json)
                Bad_request "bad field: batch (expected a list of requests)"))
 
-(* The fast lane for a scanned request: probe the text cache with the
-   key the scanner already built; on a miss, slice the BLIF back out of
-   the key and take the ordinary [submit_request] road (whose own L1
-   probe misses again without bumping any counter). *)
-let submit_scanned t ~t0 ~t0m (sq : scanned_req) =
-  let tsh = shard_for t sq.sq_tkey in
-  let text_hit =
-    locked tsh (fun () ->
-        match Lru.find tsh.sh_text sq.sq_tkey with
-        | Some (digest, e) ->
-            bump tsh.sh_counters.Obs.Cache.hits;
-            Some (digest, e)
-        | None -> None)
-  in
-  match text_hit with
-  | Some (digest, e) ->
-      Immediate
-        (ok_response t ~id:sq.sq_id ~echo:sq.sq_echo ~hit:true ~cacheable:true
-           ~digest:(Some digest) ~e
-           ~wall_s:(Unix.gettimeofday () -. t0)
-           ())
-  | None ->
-      let blif =
-        String.sub sq.sq_tkey (sq.sq_taglen + 1)
-          (String.length sq.sq_tkey - sq.sq_taglen - 1)
-      in
-      submit_request t ~t0 ~t0m
-        {
-          id = sq.sq_id;
-          blif;
-          level = sq.sq_level;
-          cut = Maximal;
-          deadline_s = Stdlib.min t.default_deadline_s 3600.0;
-          echo = sq.sq_echo;
-          (* the scanner bails to the slow parser on any unknown
-             member, so a request carrying "cert" never reaches the
-             scanned fast lane *)
-          cert = false;
-        }
-
-let submit_line t line =
-  let t0 = Unix.gettimeofday () in
-  let t0m = Logic.Clock.now () in
-  match scan_line t line with
-  | Some (Scanned_one sq) -> submit_scanned t ~t0 ~t0m sq
-  | Some (Scanned_batch sqs) ->
-      Batch (List.map (submit_scanned t ~t0 ~t0m) sqs)
-  | None -> submit_line_slow t ~t0 ~t0m line
-
 let await_queued id fut =
   match Parallel.Pool.await fut with
   | r -> r
@@ -1220,41 +758,14 @@ let await_queued id fut =
       let code, msg = error_of_exn e in
       error_response ?id code msg
 
-let rec collect = function
-  | Immediate r -> render_response r
-  | Queued (id, fut) -> render_response (await_queued id fut)
-  | Batch ps ->
-      (* one pre-sized buffer: the parts are ~20KB each, and building
-         the array line by [^]/[String.concat] would copy the megabyte
-         of a full batch three times over on the major heap *)
-      let parts = List.map collect ps in
-      let total =
-        List.fold_left (fun a s -> a + String.length s + 1) 1 parts
-      in
-      let buf = Buffer.create (total + 1) in
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i s ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf s)
-        parts;
-      Buffer.add_char buf ']';
-      Buffer.contents buf
-
-let handle_line t line = collect (submit_line t line)
-
-(* Channel-side twin of [collect]: awaits in the same order but
-   appends every piece to a caller-owned scratch buffer, so the warm
-   socket path never allocates a response-sized string (and a batch
-   never materializes its potentially megabyte array line as a string).
-   The per-connection writer reuses one scratch buffer for every line:
-   after the first response the warm path allocates nothing
-   response-sized at all, and the channel is touched once per line
-   instead of once per JSON piece. *)
+(* Append a pending line's responses to [buf], awaiting queued ones in
+   request order.  The per-connection writer reuses one scratch buffer
+   for every line: after the first response the warm socket path
+   allocates nothing response-sized at all, and the channel is touched
+   once per line instead of once per JSON piece. *)
 let rec add_pending buf = function
-  | Immediate r -> response_pieces r (Buffer.add_string buf)
-  | Queued (id, fut) ->
-      response_pieces (await_queued id fut) (Buffer.add_string buf)
+  | Immediate r -> add_response buf r
+  | Queued (id, fut) -> add_response buf (await_queued id fut)
   | Batch ps ->
       Buffer.add_char buf '[';
       List.iteri
@@ -1264,16 +775,20 @@ let rec add_pending buf = function
         ps;
       Buffer.add_char buf ']'
 
-(* Requests pipeline through the pool; responses come back in request
-   order (a pending queue, drained as the head resolves). *)
+let handle_line t line =
+  let buf = Buffer.create 4096 in
+  add_pending buf (submit_line t line);
+  Buffer.contents buf
+
 (* The reader (this thread) parses lines and dispatches; a writer
    thread awaits each pending response in request order and emits it
-   the moment it resolves.  Splitting the two is what lets an
-   interactive client see its response while the reader is blocked on
-   [input_line] — a single-threaded read-then-drain loop would hold
-   finished responses hostage until the next request (or EOF)
-   arrived.  (A thread, not a domain: every concurrent connection gets
-   one of these, and they only block on IO.) *)
+   the moment it resolves, so responses come back in request order
+   while misses pipeline through the pool.  Splitting the two is what
+   lets an interactive client see its response while the reader is
+   blocked on [input_line] — a single-threaded read-then-drain loop
+   would hold finished responses hostage until the next request (or
+   EOF) arrived.  (A thread, not a domain: every concurrent connection
+   gets one of these, and they only block on IO.) *)
 let serve_channel t ic oc =
   let q = Queue.create () in
   let mu = Mutex.create () in

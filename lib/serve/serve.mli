@@ -19,12 +19,10 @@
     With ["cert": true] a successful response additionally carries a
     ["cert"] member: the full proof certificate text ([Cert] format),
     replayable by [bin/check.exe] in a separate process.  Certificates
-    are only produced by an actual kernel run: if the request is
-    answered from the proof cache no proof was replayed, and rather
-    than fabricate evidence the server answers an error with code
-    ["cert_unavailable"] (retry against a cold cache, or via a
-    gate-list cut, to force a run).  Certificate requests always take
-    the slow parse path and are never served by the scanned fast lane.
+    are only produced by an actual kernel run, so a certificate request
+    bypasses both cache levels, like an explicit gate list: it always
+    runs the kernel, neither reads nor fills the cache, and answers
+    with [cacheable = false].
 
     A successful response carries [status = "ok"], the retimed netlist
     as BLIF text (["blif"]), the kernel theorem (["theorem"]),
@@ -48,14 +46,14 @@
 
     {2 Cache semantics}
 
-    Only [maximal]-cut requests are cached: the maximal cut is a
-    function of the circuit alone, so the (fingerprint, level) pair
-    fully determines the result.  The cache is two-level.  An
-    exact-text front cache — keyed on the level-tagged raw BLIF bytes
-    themselves, so the table's key equality is the byte comparison and
-    a hash collision can only cost a bucket scan, never a wrong
-    answer — answers byte-identical repeats without parsing; behind it,
-    the fingerprint cache requires
+    Only [maximal]-cut requests without ["cert"] are cached: the
+    maximal cut is a function of the circuit alone, so the
+    (fingerprint, level) pair fully determines the result.  The cache
+    is two-level.  An exact-text front cache — keyed on the
+    level-tagged raw BLIF bytes themselves, so the table's key equality
+    is the byte comparison and a hash collision can only cost a bucket
+    scan, never a wrong answer — answers byte-identical repeats without
+    parsing the netlist; behind it, the fingerprint cache requires
     digest {e and} full canonical-form equality ({!Fingerprint.equal}'s
     contract), so a digest collision can only cause a spurious miss.
     A hit returns the theorem proved for the structurally identical
@@ -68,7 +66,8 @@
     hits at either level, [evictions] counts LRU drops at either level,
     while [insertions]/[entries] describe the fingerprint cache.
     Explicit gate-list cuts refer to signal indices of one specific
-    representation and always run the kernel. *)
+    representation and, like certificate requests, always run the
+    kernel. *)
 
 type t
 
@@ -170,10 +169,6 @@ type error_code =
   | Unsupported
   | Interface_mismatch
   | Deadline_exceeded
-  | Cert_unavailable
-      (** ["cert": true] on a request answered from the proof cache:
-          no proof was replayed, so no certificate can honestly be
-          produced. *)
   | Shutdown
   | Internal
 

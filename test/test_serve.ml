@@ -115,8 +115,7 @@ let test_echo_elision () =
   let b = blif_of 3 in
   let terse = request ~extra:[ ("echo", J.Bool false) ] 1 b in
   (* echo:false elides blif+theorem on both the miss and the hit path
-     (the hit goes through the fast-path scanner), everything else
-     stays *)
+     (the hit is answered from the text cache), everything else stays *)
   List.iter
     (fun (label, hit) ->
       let j = parse (Serve.handle_line srv terse) in
@@ -395,13 +394,26 @@ let send oc line =
   flush oc
 
 let test_interleaved_clients () =
-  let srv = mk_server () in
+  (* Worker domains run A's kernel work.  On an inline pool (jobs:1) it
+     would run on A's handler thread, holding the runtime lock that B's
+     handler and this test's own client need: B could then only be
+     answered at a systhread tick, and a batch lasting a few ticks would
+     race the "still in flight" check below. *)
+  let srv = mk_server ~jobs:2 () in
   let path = sock_path "interleave" in
   let l = Serve.listen_unix srv ~path in
-  Fun.protect ~finally:(fun () -> Serve.stop l; Serve.shutdown srv)
-  @@ fun () ->
   let fd_a, ic_a, oc_a = connect_unix path in
   let _fd_b, ic_b, oc_b = connect_unix path in
+  (* the clients hang up before the drain: a failed check must not leave
+     A's writer blocked on a response nobody reads, or [Serve.stop] would
+     wait for it forever (closing a closed channel is a no-op) *)
+  Fun.protect
+    ~finally:(fun () ->
+      close_out_noerr oc_a;
+      close_out_noerr oc_b;
+      Serve.stop l;
+      Serve.shutdown srv)
+  @@ fun () ->
   (* warm the cache over connection B *)
   let warm = blif_of 4 in
   send oc_b (request 1 warm);
@@ -520,36 +532,162 @@ let test_bounded_connections () =
 
 (* --- proof certificates --------------------------------------------- *)
 
+let cert_text j =
+  match J.member "cert" j with
+  | Some (J.Str s) -> s
+  | _ -> Alcotest.fail "ok response without a cert member"
+
+(* the daemon's certificate must replay through the independent checker
+   path, not merely parse *)
+let check_replays label text =
+  match Cert.check_string text with
+  | Ok (_, prims) ->
+      check (label ^ " replayed some inferences") true (prims > 0)
+  | Error rej ->
+      Alcotest.fail
+        (label ^ ": daemon cert rejected: " ^ Cert.reject_to_string rej)
+
 let test_cert_request () =
   let srv = mk_server () in
   Fun.protect ~finally:(fun () -> Serve.shutdown srv) @@ fun () ->
   let b = blif_of 2 in
-  let j =
-    parse (Serve.handle_line srv (request ~extra:[ ("cert", J.Bool true) ] 1 b))
+  let j1 = parse (Serve.handle_line srv (request 1 b)) in
+  Alcotest.(check string) "plain miss ok" "ok" (status j1);
+  check "plain request misses" false (cache_bool "hit" j1);
+  let insertions = cache_int "insertions" j1 in
+  check_int "the miss filled the cache" 1 insertions;
+  (* cert:true for the cached circuit skips both cache levels: the
+     kernel runs again, so a certificate exists for this request *)
+  let j2 =
+    parse (Serve.handle_line srv (request ~extra:[ ("cert", J.Bool true) ] 2 b))
   in
-  Alcotest.(check string) "certified miss ok" "ok" (status j);
-  check "miss ran the proof" false (cache_bool "hit" j);
-  let text =
-    match J.member "cert" j with
-    | Some (J.Str s) -> s
-    | _ -> Alcotest.fail "ok response without a cert member"
-  in
-  (* the daemon's certificate must replay through the independent
-     checker path, not merely parse *)
-  (match Cert.check_string text with
-  | Ok (_, prims) -> check "replayed some inferences" true (prims > 0)
-  | Error rej -> Alcotest.fail ("daemon cert rejected: " ^ Cert.reject_to_string rej));
-  (* same circuit again: the cache answers, and a certificate cannot be
-     fabricated for a proof this request never ran — typed error *)
-  expect_error srv
-    (request ~extra:[ ("cert", J.Bool true) ] 2 b)
-    "cert_unavailable";
-  (* without cert:true the hit is served normally... *)
+  Alcotest.(check string) "certified request ok" "ok" (status j2);
+  check "cert request ran the proof" false (cache_bool "hit" j2);
+  check "cert request not cacheable" false (cache_bool "cacheable" j2);
+  check_replays "cert request" (cert_text j2);
+  check_int "cert request stores nothing" insertions
+    (cache_int "insertions" j2);
+  (* the cached entry is untouched: a plain request still hits... *)
   let j3 = parse (Serve.handle_line srv (request 3 b)) in
   Alcotest.(check string) "plain hit ok" "ok" (status j3);
   check "hit" true (cache_bool "hit" j3);
   (* ...and ok responses only carry a cert when one was requested *)
   check "no unsolicited cert member" true (J.member "cert" j3 = None)
+
+(* Replace every occurrence of [sub] in [s] by [by]. *)
+let replace_all ~sub ~by s =
+  let n = String.length s and m = String.length sub in
+  let buf = Buffer.create n in
+  let rec go i =
+    if i > n - m then Buffer.add_string buf (String.sub s i (n - i))
+    else if String.sub s i m = sub then (
+      Buffer.add_string buf by;
+      go (i + m))
+    else (
+      Buffer.add_char buf s.[i];
+      go (i + 1))
+  in
+  go 0;
+  Buffer.contents buf
+
+(* The body of an ok response minus what varies per request: the id,
+   the wall time, the hit flag and the running cache counters. *)
+let response_body j =
+  let drop names = function
+    | J.Obj fields ->
+        J.Obj (List.filter (fun (k, _) -> not (List.mem k names)) fields)
+    | v -> v
+  in
+  match drop [ "id"; "wall_s" ] j with
+  | J.Obj fields ->
+      J.Obj
+        (List.map
+           (fun (k, v) ->
+             if k = "cache" then
+               ( k,
+                 drop
+                   [ "hit"; "hits"; "misses"; "evictions"; "insertions";
+                     "entries" ]
+                   v )
+             else (k, v))
+           fields)
+  | v -> v
+
+(* Every spelling of one request decodes to the same BLIF bytes and so
+   hits the same L1 (exact-text) entry with the same answer.  With one
+   shard of capacity 1, an L1 miss that hits the fingerprint level
+   re-inserts its text into L1 and evicts the old one, so [evictions]
+   staying 0 shows that every spelling hit L1 itself. *)
+let test_spellings_share_l1 () =
+  let srv = mk_server ~cache_capacity:1 ~shards:1 () in
+  Fun.protect ~finally:(fun () -> Serve.shutdown srv) @@ fun () ->
+  (* a comment with a '/' gives the [\/] escape something to spell *)
+  let b = "# fig2 a/b\n" ^ blif_of 3 in
+  let blif_json = J.to_string (J.Str b) in
+  let base = parse (Serve.handle_line srv (request 1 b)) in
+  Alcotest.(check string) "base ok" "ok" (status base);
+  check "base misses" false (cache_bool "hit" base);
+  let spellings =
+    [
+      ( "reordered members",
+        J.Int 2,
+        J.to_string (J.Obj [ ("blif", J.Str b); ("id", J.Int 2) ]) );
+      ( "extra whitespace",
+        J.Int 3,
+        " { \"id\" : 3 ,\t\"blif\" :  " ^ blif_json ^ " \r } " );
+      ( "string id",
+        J.Str "four",
+        J.to_string (J.Obj [ ("id", J.Str "four"); ("blif", J.Str b) ]) );
+      ("escaped slash", J.Int 5, replace_all ~sub:"/" ~by:"\\/" (request 5 b));
+      ( "\\u000a newline",
+        J.Int 6,
+        replace_all ~sub:"\\n" ~by:"\\u000a" (request 6 b) );
+    ]
+  in
+  List.iteri
+    (fun i (label, id, line) ->
+      let j = parse (Serve.handle_line srv line) in
+      Alcotest.(check string) (label ^ " ok") "ok" (status j);
+      check (label ^ " hits") true (cache_bool "hit" j);
+      check_int (label ^ " hit count") (i + 1) (cache_int "hits" j);
+      check_int (label ^ " hit L1") 0 (cache_int "evictions" j);
+      check (label ^ " echoes its id") true (J.member "id" j = Some id);
+      check (label ^ " same body") true (response_body j = response_body base))
+    spellings;
+  (* a batch mixing a certificate request with plain hits: the cert item
+     runs the kernel and stores nothing, its neighbours still hit L1 *)
+  let batch =
+    J.to_string
+      (J.Obj
+         [
+           ( "batch",
+             J.List
+               [
+                 J.Obj [ ("id", J.Int 10); ("blif", J.Str b) ];
+                 J.Obj
+                   [
+                     ("id", J.Int 11); ("blif", J.Str b); ("cert", J.Bool true);
+                   ];
+                 J.Obj [ ("id", J.Int 12); ("blif", J.Str b) ];
+               ] );
+         ])
+  in
+  match parse (Serve.handle_line srv batch) with
+  | J.List [ h1; c; h2 ] ->
+      List.iter
+        (fun (label, j) ->
+          check (label ^ " hits") true (cache_bool "hit" j);
+          check (label ^ " carries no cert") true (J.member "cert" j = None);
+          check (label ^ " same body") true
+            (response_body j = response_body base))
+        [ ("first plain item", h1); ("last plain item", h2) ];
+      Alcotest.(check string) "cert item ok" "ok" (status c);
+      check "cert item ran the proof" false (cache_bool "hit" c);
+      check "cert item not cacheable" false (cache_bool "cacheable" c);
+      check_replays "batched cert item" (cert_text c);
+      check_int "nothing evicted" 0 (cache_int "evictions" h2);
+      check_int "nothing inserted" 1 (cache_int "insertions" h2)
+  | j -> Alcotest.fail ("batch response is not a 3-array: " ^ J.to_string j)
 
 let test_cert_bad_field () =
   let srv = mk_server () in
@@ -571,8 +709,10 @@ let suite =
     Alcotest.test_case "unmeetable deadline" `Quick test_tiny_deadline;
     Alcotest.test_case "shutdown rejects new work" `Quick
       test_shutdown_rejects;
-    Alcotest.test_case "certificate on miss, typed refusal on hit" `Quick
+    Alcotest.test_case "cert:true bypasses the cache" `Quick
       test_cert_request;
+    Alcotest.test_case "request spellings share one L1 entry" `Quick
+      test_spellings_share_l1;
     Alcotest.test_case "cert field must be a boolean" `Quick
       test_cert_bad_field;
     Alcotest.test_case "serve_channel pipeline" `Quick test_serve_channel;
