@@ -58,8 +58,17 @@ type manager = {
   mutable generation : int;
   (* scratch bitmask for the variable set of [exists] *)
   mutable vset : Bytes.t;
+  (* scratch bitmask over node ids for [iter_nodes]; all clear between
+     calls *)
+  mutable marks : Bytes.t;
   counters : Obs.Counters.t;
+  (* budget poll: [mk] calls [poll] when it allocates node [poll_at];
+     [max_int] when disarmed *)
+  mutable poll : unit -> unit;
+  mutable poll_at : int;
 }
+
+let poll_interval = 4096
 
 let unique_init_bits = 12
 let cache_init_bits = 12
@@ -86,7 +95,10 @@ let manager () =
     m_mask = (1 lsl cache_init_bits) - 1;
     generation = 0;
     vset = Bytes.empty;
+    marks = Bytes.empty;
     counters = Obs.Counters.create ();
+    poll = ignore;
+    poll_at = max_int;
   }
 
 let zero _ = 0
@@ -209,9 +221,23 @@ let mk m v lo hi =
         unique_grow m;
         cache_grow m
       end;
+      (* last, with the node interned and the tables consistent: [poll]
+         may raise out of the operation *)
+      if id >= m.poll_at then begin
+        m.poll_at <- id + poll_interval;
+        m.poll ()
+      end;
       id
     end
   end
+
+let set_poll m f =
+  m.poll <- f;
+  m.poll_at <- m.next + poll_interval
+
+let clear_poll m =
+  m.poll <- ignore;
+  m.poll_at <- max_int
 
 let var m i = mk m i 0 1
 let nvar m i = mk m i 1 0
@@ -453,37 +479,59 @@ let share z =
     m_mask = cache_entries - 1;
     generation = 0;
     vset = Bytes.empty;
+    marks = Bytes.empty;
     counters = Obs.Counters.create ();
+    poll = ignore;
+    poll_at = max_int;
   }
 
 (* ------------------------------------------------------------------ *)
 (* Inspection                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let support m f =
-  let seen = Hashtbl.create 64 in
-  let vars = Hashtbl.create 16 in
-  let rec go f =
-    if f >= 2 && not (Hashtbl.mem seen f) then begin
-      Hashtbl.replace seen f ();
-      Hashtbl.replace vars m.var_arr.%(f) ();
-      go m.low_arr.%(f);
-      go m.high_arr.%(f)
+(* Call [fn] once on every internal node reachable from [f].  The visited
+   marks are cleared by a second walk, so a call costs time proportional
+   to the BDD, not to the manager.  Both walks recurse at most once per
+   variable level. *)
+let iter_nodes m f fn =
+  let need = (Bigarray.Array1.dim m.var_arr + 7) / 8 in
+  if Bytes.length m.marks < need then m.marks <- Bytes.make need '\000';
+  let marks = m.marks in
+  let marked id =
+    Char.code (Bytes.unsafe_get marks (id lsr 3)) land (1 lsl (id land 7)) <> 0
+  in
+  let flip id =
+    Bytes.unsafe_set marks (id lsr 3)
+      (Char.unsafe_chr
+         (Char.code (Bytes.unsafe_get marks (id lsr 3)) lxor (1 lsl (id land 7))))
+  in
+  let rec mark f =
+    if f >= 2 && not (marked f) then begin
+      flip f;
+      fn f;
+      mark m.high_arr.%(f);
+      mark m.low_arr.%(f)
     end
   in
-  go f;
+  let rec clear f =
+    if f >= 2 && marked f then begin
+      flip f;
+      clear m.high_arr.%(f);
+      clear m.low_arr.%(f)
+    end
+  in
+  mark f;
+  clear f
+
+let support m f =
+  let vars = Hashtbl.create 16 in
+  iter_nodes m f (fun id -> Hashtbl.replace vars m.var_arr.%(id) ());
   List.sort compare (Hashtbl.fold (fun v () acc -> v :: acc) vars [])
 
 let size m f =
-  let seen = Hashtbl.create 64 in
-  let rec go f acc =
-    if f < 2 || Hashtbl.mem seen f then acc
-    else begin
-      Hashtbl.replace seen f ();
-      go m.low_arr.%(f) (go m.high_arr.%(f) (acc + 1))
-    end
-  in
-  go f 0
+  let n = ref 0 in
+  iter_nodes m f (fun _ -> incr n);
+  !n
 
 let node_count m = m.next
 

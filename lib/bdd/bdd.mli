@@ -52,6 +52,20 @@ val compose : manager -> t -> (int -> t option) -> t
     defined) for variable [i] in [f].  Used for functional image
     computation and for van Eijk's dependency elimination. *)
 
+(** {1 Budget polling} *)
+
+val poll_interval : int
+(** Node allocations between two calls of the poll function. *)
+
+val set_poll : manager -> (unit -> unit) -> unit
+(** [set_poll m f] makes [m] call [f] after every {!poll_interval}
+    nodes it allocates, from inside any operation.  [f] may raise (a
+    budget check): the operation is abandoned, and the manager stays
+    consistent and usable.  Replaces any previous poll function. *)
+
+val clear_poll : manager -> unit
+(** Disarm the poll. *)
+
 (** {1 Freeze / share for the domain pool} *)
 
 type frozen
@@ -66,7 +80,7 @@ val share : frozen -> manager
 (** A fresh manager seeded from the snapshot by memcpy: it starts with
     the snapshot's nodes and unique table, then grows privately.  Node
     ids of the frozen prefix keep their meaning in every sharing
-    manager.  Counters start at zero. *)
+    manager.  Counters start at zero and no poll is armed. *)
 
 (** {1 Inspection} *)
 

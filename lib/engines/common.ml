@@ -29,11 +29,16 @@ let check b = if out_of_time b then raise Out_of_budget
 (* Node budgets are relative to the population at engine entry: managers
    are reused across runs (one per pool domain), so the absolute count
    says nothing about the current run's appetite. *)
-let arm_nodes b m = b.bdd_base <- Bdd.node_count m
-
 let check_nodes b m =
   if Bdd.node_count m - b.bdd_base > b.max_bdd_nodes then raise Out_of_budget
   else check b
+
+(* The manager also polls the budget from inside its operations: one
+   [and_] or [exists] can otherwise run far past the deadline between two
+   [check_nodes] calls. *)
+let arm_nodes b m =
+  b.bdd_base <- Bdd.node_count m;
+  Bdd.set_poll m (fun () -> check_nodes b m)
 
 let result_tag = function
   | Equivalent -> "equivalent"
@@ -135,6 +140,7 @@ let domain_manager () =
       m
 
 let release_manager m =
+  Bdd.clear_poll m;
   if Bdd.node_count m > bdd_recycle_nodes then Domain.DLS.get bdd_key := None
 
 let () =

@@ -71,9 +71,10 @@ val domain_manager : unit -> Bdd.manager
     {!release_manager}. *)
 
 val release_manager : Bdd.manager -> unit
-(** Hand the domain manager back: drops it (next use re-seeds from the
-    frozen base) when it has grown past the recycle threshold, so a
-    blowup cell cannot pin hundreds of MB per domain. *)
+(** Hand the domain manager back: disarms the budget poll {!arm_nodes}
+    installed, and drops the manager (next use re-seeds from the frozen
+    base) when it has grown past the recycle threshold, so a blowup cell
+    cannot pin hundreds of MB per domain. *)
 
 val bdd_domain_stats : unit -> int * int
 (** [(created, reused)] counts of {!domain_manager} calls across all
@@ -82,7 +83,10 @@ val bdd_domain_stats : unit -> int * int
 
 val arm_nodes : budget -> Bdd.manager -> unit
 (** Set [budget.bdd_base] to the manager's current population; engines
-    call it at entry so {!check_nodes} measures their own allocation. *)
+    call it at entry so {!check_nodes} measures their own allocation.
+    Also arms the manager's poll ({!Bdd.set_poll}) with {!check_nodes},
+    so a single BDD operation stops within {!Bdd.poll_interval} node
+    allocations of running out of budget. *)
 
 val report_to_run : report -> Obs.engine_run
 (** Convert to the serialisable {!Obs.engine_run} form. *)

@@ -50,11 +50,14 @@ let equiv_stats_m m budget ca cb =
           vars_at.(i + 1) <- v :: vars_at.(i + 1))
         quantifiable
     in
+    let cur_of =
+      Array.map
+        (fun c -> if c < 0 then None else Some (Bdd.var m c))
+        p.Symbolic.next_to_cur
+    in
     let rename_next_to_cur f =
       Bdd.compose m f (fun v ->
-          if v < 2 * k && v mod 2 = 1 then
-            Some (Bdd.var m (v - 1))
-          else None)
+          if v < Array.length cur_of then cur_of.(v) else None)
     in
     let peak_image = ref 0 in
     let image s =
